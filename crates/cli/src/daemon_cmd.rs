@@ -30,6 +30,13 @@ pub fn cmd_daemon(args: &Args) -> Result<(), CliError> {
         cfg.snapshot_path = Some(p.into());
     }
     cfg.channel_capacity = args.num_flag("capacity", cfg.channel_capacity)?;
+    if cfg.channel_capacity == 0 {
+        return Err(CliError(
+            "--capacity wants at least 1 (producers block once this many \
+             messages are queued per shard)"
+                .into(),
+        ));
+    }
     cfg.batch_max = args.num_flag("batch-max", cfg.batch_max)?;
     // For both periodic knobs 0 means "never": no periodic reclustering
     // (queries still compute one on demand) and no periodic snapshots
@@ -91,9 +98,9 @@ pub fn cmd_daemon(args: &Args) -> Result<(), CliError> {
         cfg.tcp_addr = Some(a.to_owned());
     }
     cfg.shards = args.num_flag("shards", cfg.shards)?;
-    // Fleet-observability knobs: per-tenant instruments, health scoring,
-    // burn-rate alerts, and the self-watchdog are on by default;
-    // `--no-fleet` turns the whole plane off at once.
+    // Fleet-observability knobs: health scoring, burn-rate alerts, and
+    // the self-watchdog are on by default; `--no-fleet` turns them off
+    // (the per-tenant metric twins count either way).
     cfg.fleet_observability = !args.bool_flag("no-fleet");
     cfg.slo_miss_rate = args.num_flag("slo-miss-rate", cfg.slo_miss_rate)?;
     cfg.burn_fast_window =

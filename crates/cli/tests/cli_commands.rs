@@ -149,3 +149,15 @@ fn live_command_reports() {
     run("live --machine E --days 10 --seed 4 --refill-hours 8").expect("periodic live");
     assert!(run("live --machine Q").is_err());
 }
+
+#[test]
+fn daemon_refuses_zero_capacity() {
+    let dir = tmpdir("capacity");
+    let err = run(&format!(
+        "daemon --socket {} --capacity 0",
+        dir.join("sock").display()
+    ))
+    .expect_err("a zero-capacity pipeline is refused");
+    assert!(err.0.contains("--capacity wants at least 1"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}

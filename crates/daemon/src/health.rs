@@ -47,8 +47,8 @@ pub const SELF_TENANT: &str = "_self";
 /// Health-scorer knobs, per daemon (shared by every tenant).
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// Master switch for the fleet observability plane: per-tenant
-    /// instruments, health scoring, and burn alerts.
+    /// Master switch for health scoring and burn alerts. The per-tenant
+    /// instrument twins are bumped either way.
     pub enabled: bool,
     /// SLO error budget: the tolerated bad-op (miss + drop) fraction.
     pub slo_miss_rate: f64,

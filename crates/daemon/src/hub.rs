@@ -17,10 +17,9 @@
 //! disconnects kill only the offending connection (counted in
 //! `seer_daemon_connection_errors_total`), never the daemon.
 
-use crate::pipeline::{self, Control, Ingest, Tenant};
+use crate::pipeline::{self, Apply, Ingest, IngestTx, Tenant};
 use crate::server::Shared;
 use crate::stats::PipelineMetrics;
-use crossbeam::channel::{bounded, Sender};
 use seer_telemetry::{tlog, Level, SpanContext, TraceId, Tracer};
 use seer_trace::wire::{
     self, ClientFrame, DaemonFrame, QueryRequest, QueryResponse, TenantFleetStat, WireError,
@@ -33,6 +32,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -174,10 +174,32 @@ fn probe_handshake(stream: UnixStream) -> Option<u32> {
     }
 }
 
-/// One shard's pipeline entrances.
+/// One shard's pipeline entrances: frames go through the batcher,
+/// queries straight into the engine actor's inbox.
 pub(crate) struct ShardHandle {
-    pub ingest_tx: Sender<Ingest>,
-    pub control_tx: Sender<Control>,
+    pub ingest_tx: IngestTx,
+    pub query_tx: SyncSender<Apply>,
+}
+
+impl ShardHandle {
+    /// Puts a query in the engine actor's inbox and waits for the answer.
+    fn ask(
+        &self,
+        query: QueryRequest,
+        tenant: &Tenant,
+        ctx: Option<SpanContext>,
+    ) -> Result<QueryResponse, ()> {
+        let (reply, answer) = sync_channel(1);
+        let tenant = tenant.clone();
+        let msg = Apply::Query {
+            query,
+            tenant,
+            ctx,
+            reply,
+        };
+        self.query_tx.send(msg).map_err(|_| ())?;
+        answer.recv().map_err(|_| ())
+    }
 }
 
 /// The routing table: tenant id → shard, by stable hash. A tenant's
@@ -187,15 +209,16 @@ pub(crate) struct Shards {
     pub handles: Vec<ShardHandle>,
 }
 
-impl Shards {
-    pub(crate) fn index_for(&self, tenant: &str) -> usize {
-        let mut h = DefaultHasher::new();
-        tenant.hash(&mut h);
-        (h.finish() % self.handles.len() as u64) as usize
-    }
+/// The shard a tenant routes to among `shards`, by stable hash.
+pub(crate) fn shard_index(tenant: &str, shards: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    tenant.hash(&mut h);
+    (h.finish() % shards as u64) as usize
+}
 
+impl Shards {
     fn handle_for(&self, tenant: &str) -> &ShardHandle {
-        &self.handles[self.index_for(tenant)]
+        &self.handles[shard_index(tenant, self.handles.len())]
     }
 }
 
@@ -224,7 +247,7 @@ pub(crate) fn run_listener(
                     conn = conn
                 );
                 if let Ok(dup) = stream.try_clone() {
-                    shared.conns.lock().push(dup);
+                    shared.conns().push(dup);
                 }
                 let shared = Arc::clone(shared);
                 let shards = Arc::clone(shards);
@@ -243,8 +266,8 @@ pub(crate) fn run_listener(
 /// Sends a flush marker through the tenant's pipeline and waits for the
 /// engine actor's acknowledgement, returning the connection's applied
 /// count.
-fn flush_pipeline(conn: u64, tenant: &Tenant, ingest_tx: &Sender<Ingest>) -> Result<u64, ()> {
-    let (ack_tx, ack_rx) = bounded(1);
+fn flush_pipeline(conn: u64, tenant: &Tenant, ingest_tx: &IngestTx) -> Result<u64, ()> {
+    let (ack_tx, ack_rx) = sync_channel(1);
     ingest_tx
         .send(Ingest::Flush {
             conn,
@@ -515,10 +538,10 @@ fn serve_conn(
             }
             ClientFrame::Events { events, trace_id } => {
                 let n = events.len() as u64;
-                // Depth *before* this send: with a bounded channel the
-                // send below blocks rather than exceed capacity, so this
+                // Depth *before* this send, clamped to the channel's
+                // capacity (see `pipeline::queue_depth`), so this
                 // observation can never exceed the configured bound.
-                shared.metrics.observe_queue_depth(shard.ingest_tx.len());
+                shared.metrics.observe_queue_depth(shard.ingest_tx.depth());
                 shared.metrics.events_received.add(n);
                 let ctx = trace_id
                     .map(|t| record_frame_spans(&shared.metrics.tracer, TraceId(t), timing));
@@ -653,17 +676,7 @@ fn run_query(
         let _flush_span = ctx.map(|c| tracer.child("flush_wait", c));
         flush_pipeline(conn, tenant, &shard.ingest_tx)?;
     }
-    let (reply_tx, reply_rx) = bounded(1);
-    shard
-        .control_tx
-        .send(Control::Query {
-            query,
-            tenant: tenant.clone(),
-            ctx,
-            reply: reply_tx,
-        })
-        .map_err(|_| ())?;
-    reply_rx.recv().map_err(|_| ())
+    shard.ask(query, tenant, ctx)
 }
 
 /// A `Fleet` query fans out to every shard (each answers for its local
@@ -683,17 +696,7 @@ fn run_fleet_query(
     let mut total_events = 0u64;
     let mut per_tenant: Vec<TenantFleetStat> = Vec::new();
     for shard in &shards.handles {
-        let (reply_tx, reply_rx) = bounded(1);
-        shard
-            .control_tx
-            .send(Control::Query {
-                query: QueryRequest::Fleet { top_k },
-                tenant: tenant.clone(),
-                ctx: None,
-                reply: reply_tx,
-            })
-            .map_err(|_| ())?;
-        match reply_rx.recv().map_err(|_| ())? {
+        match shard.ask(QueryRequest::Fleet { top_k }, tenant, None)? {
             QueryResponse::Fleet {
                 tenants: t,
                 total_events: e,

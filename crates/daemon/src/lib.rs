@@ -13,7 +13,7 @@
 //!  unix ─┐                          ┌─► shard 0 ─► batcher ─► engine actor (tenants A, D, …)
 //!        ├─► accept ─► conn readers ┼─► shard 1 ─► batcher ─► engine actor (tenants B, E, …)
 //!  tcp ──┘    (1 thread/conn,       └─► shard N ─► batcher ─► engine actor (…)
-//!              route by tenant)          (bounded ingest + apply channels per shard)
+//!              route by tenant)          (bounded ingest channel + actor inbox per shard)
 //! ```
 //!
 //! Design properties, mirroring the paper's constraints on an

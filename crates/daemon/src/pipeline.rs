@@ -1,16 +1,21 @@
 //! The daemon's bounded, batched ingestion pipeline — one shard of it.
 //!
 //! ```text
-//! conn readers ──► ingest (bounded) ──► batcher ──► apply (bounded) ──► engine actor
-//!                                                      control (queries) ──┘
+//! conn readers ──► ingest (bounded) ──► batcher ──► inbox (bounded) ──► engine actor
+//!      │                                              ▲
+//!      └────────────────── queries ───────────────────┘
 //! ```
 //!
 //! The hub (`crate::hub`) routes every connection's frames to one shard
 //! by tenant id; each shard runs this pipeline. Both channels are
-//! bounded: when the engine falls behind, the apply channel fills, the
-//! batcher stalls, the ingest channel fills, and the connection readers
-//! block in `send` — backpressure propagates all the way to the client
+//! bounded: when the engine falls behind, the inbox fills, the batcher
+//! stalls, the ingest channel fills, and the connection readers block
+//! in `send` — backpressure propagates all the way to the client
 //! sockets instead of growing an unbounded queue.
+//!
+//! Queries enter the same inbox as batches, so the actor blocks on
+//! exactly one channel and answers a query as soon as it reaches the
+//! head of the queue, never waiting for the idle tick.
 //!
 //! The batcher coalesces consecutive event frames from the same
 //! connection into batches of up to `batch_max` events, so a client
@@ -28,11 +33,10 @@ use crate::health::{HealthConfig, HealthSignals, ShardBeat, TenantHealth};
 use crate::quality::{self, QualityState};
 use crate::snapshot::DaemonSnapshot;
 use crate::stats::{SharedMetrics, TenantMetrics};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
 use seer_core::{
     Clustering, PairCountCache, ReclusterInput, Replayer, SeerConfig, SeerEngine, TableDirty,
 };
-use seer_telemetry::{tlog, Histogram, Level, SpanContext, Tracer};
+use seer_telemetry::{tlog, Level, SpanContext};
 use seer_trace::wire::{
     ExplainNeighbor, MissPostmortem, QualityReport, QueryRequest, QueryResponse, TenantFleetStat,
 };
@@ -40,7 +44,8 @@ use seer_trace::{EventSink, FileId, RawPathId, StringTable, TraceEvent};
 use seer_wal::{FsyncPolicy, Wal, WalConfig, WalRecord};
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -124,13 +129,61 @@ pub(crate) enum Ingest {
     Flush {
         conn: u64,
         tenant: Tenant,
-        ack: Sender<u64>,
+        ack: SyncSender<u64>,
     },
     /// The connection hung up; its remap table can be dropped.
     ConnClosed { conn: u64, tenant: Tenant },
 }
 
-/// Batched messages from the batcher to the engine actor.
+/// The sending half of a shard's ingest channel. `std` channels have
+/// no `len`, so each send also counts itself into the shard's depth
+/// counter; the batcher counts it back out on receipt.
+pub(crate) struct IngestTx {
+    tx: SyncSender<Ingest>,
+    depth: Arc<AtomicUsize>,
+    capacity: usize,
+}
+
+/// A shard's ingest channel: the counted sender, the batcher's
+/// receiver, and the shared depth counter.
+pub(crate) fn ingest_channel(capacity: usize) -> (IngestTx, Receiver<Ingest>, Arc<AtomicUsize>) {
+    let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
+    let depth = Arc::new(AtomicUsize::new(0));
+    let sender = IngestTx {
+        tx,
+        depth: Arc::clone(&depth),
+        capacity,
+    };
+    (sender, rx, depth)
+}
+
+impl IngestTx {
+    /// Blocks while the channel is full; fails once the batcher is gone.
+    pub(crate) fn send(&self, msg: Ingest) -> Result<(), ()> {
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.tx.send(msg).map_err(|_| {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+        })
+    }
+
+    pub(crate) fn depth(&self) -> usize {
+        queue_depth(&self.depth, self.capacity)
+    }
+}
+
+/// Reads a shard's ingest depth counter. Producers raise it *before*
+/// each send and the batcher lowers it *after* each receive, so it never
+/// underflows and runs ahead of the queue only by producers parked in a
+/// blocked `send`. The queue itself holds at most `capacity` messages,
+/// so clamping that surplus away means the depth never reads above
+/// `channel_capacity`.
+pub(crate) fn queue_depth(depth: &AtomicUsize, capacity: usize) -> usize {
+    depth.load(Ordering::Relaxed).min(capacity)
+}
+
+/// The engine actor's inbox messages: batches from the batcher and
+/// queries from the hub, in one channel so the actor waits on one
+/// `recv`.
 pub(crate) enum Apply {
     Interns {
         conn: u64,
@@ -148,23 +201,19 @@ pub(crate) enum Apply {
     Flush {
         conn: u64,
         tenant: Tenant,
-        ack: Sender<u64>,
+        ack: SyncSender<u64>,
     },
     ConnClosed {
         conn: u64,
         tenant: Tenant,
     },
-}
-
-/// Out-of-band requests answered by the engine actor.
-pub(crate) enum Control {
     Query {
         query: QueryRequest,
         tenant: Tenant,
         /// The connection's `query` root span; the actor's `engine_answer`
         /// span (and any recluster it triggers) parents under it.
         ctx: Option<SpanContext>,
-        reply: Sender<QueryResponse>,
+        reply: SyncSender<QueryResponse>,
     },
 }
 
@@ -211,12 +260,12 @@ pub(crate) struct ActorConfig {
     pub eval_budget: u64,
     /// Entry cap of the shadow-LRU comparator.
     pub shadow_lru_cap: usize,
-    /// Health-scorer knobs; `health.enabled` is the master switch for
-    /// the fleet observability plane (per-tenant instruments, scoring,
-    /// burn alerts).
+    /// Health-scorer knobs; `health.enabled` switches scoring and burn
+    /// alerts (the per-tenant twins are bumped regardless).
     pub health: HealthConfig,
-    /// Capacity of the bounded ingest channel, so queue depth converts
-    /// to a 0–1 fraction in health signals.
+    /// Capacity of the bounded ingest channel (at least 1, checked by
+    /// `Daemon::spawn`), so queue depth converts to a 0–1 fraction in
+    /// health signals.
     pub channel_capacity: usize,
 }
 
@@ -271,7 +320,7 @@ struct ReclusterDone {
 /// actor when the result is installed (see [`ReclusterDone`]).
 fn run_recluster_worker(
     job_rx: &Receiver<ReclusterJob>,
-    done_tx: &Sender<ReclusterDone>,
+    done_tx: &SyncSender<ReclusterDone>,
     threads: usize,
     full_every: u64,
 ) {
@@ -310,16 +359,17 @@ fn run_recluster_worker(
     }
 }
 
-/// Coalesces ingest messages into batches and forwards them downstream.
-/// Exits when the ingest channel disconnects (graceful shutdown), the
-/// apply channel disconnects (actor died), or `kill` is raised.
+/// Coalesces ingest messages into batches and forwards them to the
+/// actor's inbox, lowering `depth` for every message it takes. Exits
+/// when the ingest channel disconnects (graceful shutdown), the inbox
+/// disconnects (actor died), or `kill` is raised.
 pub(crate) fn run_batcher(
     batch_max: usize,
     batch_max_wait: Duration,
     ingest_rx: Receiver<Ingest>,
-    apply_tx: Sender<Apply>,
-    flush_timer: Histogram,
-    tracer: Tracer,
+    depth: Arc<AtomicUsize>,
+    apply_tx: SyncSender<Apply>,
+    metrics: SharedMetrics,
     kill: Arc<AtomicBool>,
 ) {
     // A pending batch remembers the first traced frame coalesced into it;
@@ -331,16 +381,16 @@ pub(crate) fn run_batcher(
     type PendingInterns = (u64, Tenant, Vec<(u32, String)>);
     let mut pending_events: Option<PendingEvents> = None;
     let mut pending_interns: Option<PendingInterns> = None;
-    // Timing the send captures backpressure: a full apply channel shows
+    // Timing the send captures backpressure: a full inbox shows
     // up here as batcher-flush latency, not as silent queue growth.
-    let flush_events = |p: &mut Option<PendingEvents>, tx: &Sender<Apply>| -> bool {
+    let flush_events = |p: &mut Option<PendingEvents>, tx: &SyncSender<Apply>| -> bool {
         match p.take() {
             Some((conn, tenant, events, ctx)) => {
-                let _t = flush_timer.start_timer();
+                let _t = metrics.stage_batcher_flush.start_timer();
                 // The span covers the send, so backpressure blocking is
                 // visible on the trace timeline too.
                 let span = ctx.map(|c| {
-                    let mut s = tracer.child("batcher_flush", c);
+                    let mut s = metrics.tracer.child("batcher_flush", c);
                     s.attr("events", events.len());
                     s
                 });
@@ -356,7 +406,7 @@ pub(crate) fn run_batcher(
             None => true,
         }
     };
-    let flush_interns = |p: &mut Option<PendingInterns>, tx: &Sender<Apply>| -> bool {
+    let flush_interns = |p: &mut Option<PendingInterns>, tx: &SyncSender<Apply>| -> bool {
         match p.take() {
             Some((conn, tenant, entries)) => tx
                 .send(Apply::Interns {
@@ -372,7 +422,11 @@ pub(crate) fn run_batcher(
         if kill.load(Ordering::Relaxed) {
             return;
         }
-        match ingest_rx.recv_timeout(batch_max_wait) {
+        let msg = ingest_rx.recv_timeout(batch_max_wait);
+        if msg.is_ok() {
+            depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        match msg {
             Ok(Ingest::Intern {
                 conn,
                 tenant,
@@ -645,7 +699,7 @@ fn spawn_quality(cfg: &ActorConfig, metrics: &SharedMetrics) -> Option<QualitySt
 /// to this shard, plus the shard's recluster worker channels.
 struct Actor {
     tenants: HashMap<Tenant, TenantState>,
-    job_tx: Sender<ReclusterJob>,
+    job_tx: SyncSender<ReclusterJob>,
     done_rx: Receiver<ReclusterDone>,
     cfg: ActorConfig,
     metrics: SharedMetrics,
@@ -693,11 +747,7 @@ impl Actor {
             q.last_eval
                 .is_some_and(|t| t.elapsed() > self.cfg.eval_every * 4)
         });
-        let queue_frac = if self.cfg.channel_capacity > 0 {
-            ingest_depth as f64 / self.cfg.channel_capacity as f64
-        } else {
-            0.0
-        };
+        let queue_frac = ingest_depth as f64 / self.cfg.channel_capacity as f64;
         let sig = HealthSignals {
             total_ops: ts.events_applied + ts.dropped_events,
             bad_ops: misses + ts.dropped_events,
@@ -753,6 +803,31 @@ impl Actor {
         );
     }
 
+    /// Idle tick: fold in finished clusterings and quality evaluations,
+    /// start background reclusters for tenants whose cache went stale,
+    /// keep the evaluator cadences alive, and snapshot pending work so
+    /// quiet periods converge — for every tenant on this shard. Health is
+    /// sampled here too so burn windows decay (and alerts resolve) while
+    /// a tenant is quiet.
+    fn idle_tick(&mut self, depth: usize) {
+        self.poll_recluster_done();
+        let tenants: Vec<Tenant> = self.tenants.keys().cloned().collect();
+        for tenant in &tenants {
+            self.poll_eval_done(tenant);
+            let ts = self.tenants.get(tenant).expect("listed above");
+            if self.cfg.recluster_every > 0 && ts.since_recluster > 0 && ts.inflight.is_empty() {
+                self.request_recluster(tenant, None);
+            }
+            self.maybe_request_eval(tenant);
+            self.observe_tenant_health(tenant, depth);
+            let ts = self.tenants.get(tenant).expect("listed above");
+            if self.cfg.snapshot_every > 0 && ts.since_snapshot > 0 {
+                self.write_snapshot(tenant);
+            }
+        }
+        self.wal_idle();
+    }
+
     fn apply(&mut self, item: Apply, depth: usize) {
         match item {
             Apply::Interns {
@@ -780,10 +855,8 @@ impl Actor {
             } => self.apply_batch(conn, &tenant, events, ctx, depth),
             Apply::Flush { conn, tenant, ack } => {
                 let ts = self.tenants.get(&tenant);
-                if self.cfg.health.enabled {
-                    if let Some(ts) = ts {
-                        ts.tm.flushes.inc();
-                    }
+                if let Some(ts) = ts {
+                    ts.tm.flushes.inc();
                 }
                 let applied = ts
                     .and_then(|ts| ts.per_conn.get(&conn).copied())
@@ -794,6 +867,15 @@ impl Actor {
                 if let Some(ts) = self.tenants.get_mut(&tenant) {
                     ts.remap.remove(&conn);
                 }
+            }
+            Apply::Query {
+                query,
+                tenant,
+                ctx,
+                reply,
+            } => {
+                let answer = self.answer(&tenant, query, ctx, depth);
+                let _ = reply.send(answer);
             }
         }
     }
@@ -808,7 +890,7 @@ impl Actor {
     ) {
         self.ensure_tenant(tenant);
         let apply_timer = self.metrics.stage_engine_apply.start_timer();
-        let tenant_apply_start = self.cfg.health.enabled.then(Instant::now);
+        let apply_start = Instant::now();
         let mut span = ctx.map(|c| self.metrics.tracer.child("engine_apply", c));
         let n = events.len() as u64;
         let ts = self.tenants.get_mut(tenant).expect("ensured above");
@@ -819,9 +901,7 @@ impl Actor {
             // and Health carries the fault.
             self.metrics.wal_dropped_batches.inc();
             ts.dropped_events += n;
-            if self.cfg.health.enabled {
-                ts.tm.wal_dropped_batches.inc();
-            }
+            ts.tm.wal_dropped_batches.inc();
             self.observe_tenant_health(tenant, depth);
             return;
         }
@@ -870,16 +950,12 @@ impl Actor {
                     .map_err(|e| e.to_string())
             };
             drop(append_timer);
-            if self.cfg.health.enabled {
-                ts.tm.stage_wal_append.observe(started.elapsed());
-            }
+            ts.tm.stage_wal_append.observe(started.elapsed());
             match result {
                 Ok(out) => {
                     ts.wal_appends += 1;
                     self.metrics.wal_records.add(u64::from(out.records));
-                    if self.cfg.health.enabled {
-                        ts.tm.wal_records.add(u64::from(out.records));
-                    }
+                    ts.tm.wal_records.add(u64::from(out.records));
                     self.metrics.wal_appended_bytes.add(out.bytes);
                     if out.rotated {
                         self.metrics.wal_rotations.inc();
@@ -916,9 +992,7 @@ impl Actor {
                     );
                     ts.wal_fault = Some(fault);
                     ts.dropped_events += n;
-                    if self.cfg.health.enabled {
-                        ts.tm.wal_dropped_batches.inc();
-                    }
+                    ts.tm.wal_dropped_batches.inc();
                     self.observe_tenant_health(tenant, depth);
                     return;
                 }
@@ -931,13 +1005,9 @@ impl Actor {
         *ts.per_conn.entry(conn).or_default() += n;
         ts.since_recluster += n;
         ts.since_snapshot += n;
-        if self.cfg.health.enabled {
-            ts.tm.events_applied.add(n);
-            ts.tm.batches_applied.inc();
-            if let Some(t0) = tenant_apply_start {
-                ts.tm.stage_engine_apply.observe(t0.elapsed());
-            }
-        }
+        ts.tm.events_applied.add(n);
+        ts.tm.batches_applied.inc();
+        ts.tm.stage_engine_apply.observe(apply_start.elapsed());
         let (events_applied, clustering_generation) = (ts.events_applied, ts.clustering_generation);
         self.metrics.events_applied.add(n);
         self.metrics.batches_applied.inc();
@@ -1706,7 +1776,6 @@ impl Actor {
         query: QueryRequest,
         ctx: Option<SpanContext>,
         ingest_depth: usize,
-        alive: bool,
     ) -> QueryResponse {
         // Tenant-scoped queries create the tenant on first contact, so a
         // freshly restarted daemon answers for any tenant with on-disk
@@ -1786,7 +1855,7 @@ impl Actor {
             QueryRequest::Health => {
                 let ts = self.tenants.get(tenant).expect("ensured above");
                 QueryResponse::Health {
-                    healthy: alive && ts.wal_fault.is_none(),
+                    healthy: ts.wal_fault.is_none(),
                     events_applied: ts.events_applied,
                     queue_depth: ingest_depth,
                     wal_fault: ts.wal_fault.clone(),
@@ -1911,19 +1980,18 @@ fn neighbor_evidence(engine: &SeerEngine, file: FileId, k: usize) -> Vec<Explain
         .collect()
 }
 
-/// Runs one shard's engine actor until the apply channel disconnects
-/// (graceful shutdown: drain, recluster, snapshot every tenant, exit)
-/// or `kill` is raised (abrupt: exit immediately *without*
-/// snapshotting, leaving the last on-disk snapshots as the recovery
-/// points). `seed` is the eagerly restored default tenant — present on
-/// exactly the shard the default tenant routes to.
-#[allow(clippy::too_many_arguments)]
+/// Runs one shard's engine actor until its inbox disconnects (graceful
+/// shutdown: drain, recluster, snapshot every tenant, exit) or `kill`
+/// is raised (abrupt: exit immediately *without* snapshotting, leaving
+/// the last on-disk snapshots as the recovery points). `seed` is the
+/// eagerly restored default tenant — present on exactly the shard the
+/// default tenant routes to. `ingest_depth` is the shard's ingest depth
+/// counter (see [`queue_depth`]).
 pub(crate) fn run_engine_actor(
     seed: Option<DefaultSeed>,
     cfg: ActorConfig,
-    apply_rx: Receiver<Apply>,
-    control_rx: Receiver<Control>,
-    ingest_depth: Receiver<Ingest>,
+    inbox: Receiver<Apply>,
+    ingest_depth: Arc<AtomicUsize>,
     metrics: SharedMetrics,
     kill: Arc<AtomicBool>,
     beat: Arc<ShardBeat>,
@@ -1932,8 +2000,8 @@ pub(crate) fn run_engine_actor(
     // The recluster worker owns the expensive computation; both channels
     // are small because the actor keeps at most one periodic job and one
     // fresh-query job outstanding per tenant at a time.
-    let (job_tx, job_rx) = crossbeam::channel::bounded::<ReclusterJob>(4);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(4);
+    let (job_tx, job_rx) = std::sync::mpsc::sync_channel::<ReclusterJob>(4);
+    let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<ReclusterDone>(4);
     let worker = {
         let threads = cfg.recluster_threads.max(1);
         let full_every = cfg.recluster_full_every;
@@ -1984,77 +2052,48 @@ pub(crate) fn run_engine_actor(
         actor.metrics.tenants.add(1);
         actor.wal_update_gauges();
     }
+    // When the last event batch (or idle tick) finished. Only batches
+    // defer the idle work: a client polling faster than `tick` (each
+    // query also sends a flush marker) must not starve it.
+    let mut quiet_since = Instant::now();
     loop {
         // Liveness stamp: one relaxed store per loop iteration. A
         // heartbeat older than the watchdog's `stall_after` means the
         // actor is stuck inside a single message below.
         beat.stamp_heartbeat();
         if kill.load(Ordering::Relaxed) {
-            // Abrupt death: no snapshot — but the flight recorder is
-            // exactly for reconstructing what led up to a crash, so dump
-            // it before abandoning everything.
-            dump_flight(&actor);
-            return;
+            break;
         }
-        while let Ok(Control::Query {
-            query,
-            tenant,
-            ctx,
-            reply,
-        }) = control_rx.try_recv()
-        {
-            let depth = ingest_depth.len();
-            let answer = actor.answer(&tenant, query, ctx, depth, true);
-            let _ = reply.send(answer);
-        }
-        match apply_rx.recv_timeout(tick) {
+        let msg = inbox.recv_timeout(tick.saturating_sub(quiet_since.elapsed()));
+        let depth = queue_depth(&ingest_depth, actor.cfg.channel_capacity);
+        match msg {
             Ok(item) => {
-                let depth = ingest_depth.len();
+                let batch = matches!(item, Apply::Batch { .. });
                 actor.apply(item, depth);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle tick: fold in finished clusterings and quality
-                // evaluations, start background reclusters for tenants
-                // whose cache went stale, keep the evaluator cadences
-                // alive, and snapshot pending work so quiet periods
-                // converge — for every tenant on this shard. Health is
-                // sampled here too so burn windows decay (and alerts
-                // resolve) while a tenant is quiet.
-                actor.poll_recluster_done();
-                let tenants: Vec<Tenant> = actor.tenants.keys().cloned().collect();
-                for tenant in &tenants {
-                    actor.poll_eval_done(tenant);
-                    let ts = actor.tenants.get(tenant).expect("listed above");
-                    if actor.cfg.recluster_every > 0
-                        && ts.since_recluster > 0
-                        && ts.inflight.is_empty()
-                    {
-                        actor.request_recluster(tenant, None);
-                    }
-                    actor.maybe_request_eval(tenant);
-                    actor.observe_tenant_health(tenant, ingest_depth.len());
-                    let ts = actor.tenants.get(tenant).expect("listed above");
-                    if actor.cfg.snapshot_every > 0 && ts.since_snapshot > 0 {
-                        actor.write_snapshot(tenant);
-                    }
+                if batch {
+                    quiet_since = Instant::now();
                 }
-                actor.wal_idle();
             }
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
+        }
+        if quiet_since.elapsed() >= tick {
+            actor.idle_tick(depth);
+            quiet_since = Instant::now();
         }
         actor.refresh_beats(&beat);
     }
-    // Graceful epilogue: every producer is gone and the queue is drained.
-    while let Ok(Control::Query {
-        query,
-        tenant,
-        ctx,
-        reply,
-    }) = control_rx.try_recv()
-    {
-        let answer = actor.answer(&tenant, query, ctx, 0, false);
-        let _ = reply.send(answer);
+    // A kill also disconnects the inbox (the batcher and the connection
+    // readers exit and drop their senders), so `Disconnected` alone does
+    // not mean graceful: check the flag again before the epilogue.
+    if kill.load(Ordering::Relaxed) {
+        // Abrupt death: no snapshot — but the flight recorder is exactly
+        // for reconstructing what led up to a crash, so dump it before
+        // abandoning everything.
+        dump_flight(&actor);
+        return;
     }
+    // Graceful epilogue: every producer is gone and the inbox is drained.
     actor.poll_recluster_done();
     let tenants: Vec<Tenant> = actor.tenants.keys().cloned().collect();
     for tenant in &tenants {
@@ -2136,7 +2175,7 @@ fn dump_flight(actor: &Actor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seer_telemetry::TraceId;
+    use seer_telemetry::{TraceId, Tracer};
 
     fn test_cfg() -> ActorConfig {
         ActorConfig {
@@ -2169,7 +2208,7 @@ mod tests {
         engine: SeerEngine,
         events_applied: u64,
         inflight: VecDeque<u64>,
-        job_tx: Sender<ReclusterJob>,
+        job_tx: SyncSender<ReclusterJob>,
         done_rx: Receiver<ReclusterDone>,
     ) -> Actor {
         let name = default_tenant();
@@ -2235,8 +2274,8 @@ mod tests {
     /// the query's trace, parented under the waiting context.
     #[test]
     fn waiting_query_adopts_untraced_recluster_job() {
-        let (job_tx, _job_rx) = crossbeam::channel::bounded::<ReclusterJob>(1);
-        let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(1);
+        let (job_tx, _job_rx) = std::sync::mpsc::sync_channel::<ReclusterJob>(1);
+        let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<ReclusterDone>(1);
         let engine = SeerEngine::default();
         let run = engine.recluster_input().compute(1);
         // One untraced job already in flight, covering the target
@@ -2288,8 +2327,8 @@ mod tests {
     /// answers from, so its span belongs in the query's trace.
     #[test]
     fn traced_query_adopts_already_finished_recluster() {
-        let (job_tx, _job_rx) = crossbeam::channel::bounded::<ReclusterJob>(1);
-        let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(1);
+        let (job_tx, _job_rx) = std::sync::mpsc::sync_channel::<ReclusterJob>(1);
+        let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<ReclusterDone>(1);
         let engine = SeerEngine::default();
         let run = engine.recluster_input().compute(1);
         let mut actor = test_actor(engine, 7, VecDeque::from([7u64]), job_tx, done_rx);
@@ -2330,8 +2369,8 @@ mod tests {
     /// background reclusters never alias an unrelated query's trace.
     #[test]
     fn background_recluster_records_under_fresh_trace() {
-        let (job_tx, _job_rx) = crossbeam::channel::bounded::<ReclusterJob>(1);
-        let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(1);
+        let (job_tx, _job_rx) = std::sync::mpsc::sync_channel::<ReclusterJob>(1);
+        let (done_tx, done_rx) = std::sync::mpsc::sync_channel::<ReclusterDone>(1);
         let engine = SeerEngine::default();
         let run = engine.recluster_input().compute(1);
         let mut actor = test_actor(engine, 3, VecDeque::from([3u64]), job_tx, done_rx);

@@ -21,13 +21,13 @@
 //! every report an apples-to-apples "SEER vs LRU" comparison.
 
 use crate::stats::SharedMetrics;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use seer_core::EvalInput;
 use seer_replication::MissLog;
 use seer_telemetry::SeriesRing;
 use seer_trace::wire::{MissPostmortem, QualityReport};
 use seer_trace::{FileId, Timestamp};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -187,7 +187,7 @@ pub(crate) fn evaluate(job: &EvalJob) -> QualityReport {
 
 /// The evaluator worker loop: mirrors `run_recluster_worker`. Exits when
 /// the job channel closes.
-fn run_eval_worker(job_rx: Receiver<EvalJob>, done_tx: Sender<EvalDone>) {
+fn run_eval_worker(job_rx: Receiver<EvalJob>, done_tx: SyncSender<EvalDone>) {
     while let Ok(job) = job_rx.recv() {
         let started = Instant::now();
         let report = evaluate(&job);
@@ -203,7 +203,7 @@ fn run_eval_worker(job_rx: Receiver<EvalJob>, done_tx: Sender<EvalDone>) {
 
 /// The actor-side state of the quality plane.
 pub(crate) struct QualityState {
-    pub job_tx: Option<Sender<EvalJob>>,
+    pub job_tx: Option<SyncSender<EvalJob>>,
     pub done_rx: Receiver<EvalDone>,
     pub worker: Option<thread::JoinHandle<()>>,
     pub shadow: ShadowLru,
@@ -230,8 +230,8 @@ impl QualityState {
         shadow_cap: usize,
         metrics: &SharedMetrics,
     ) -> QualityState {
-        let (job_tx, job_rx) = bounded::<EvalJob>(2);
-        let (done_tx, done_rx) = bounded::<EvalDone>(2);
+        let (job_tx, job_rx) = sync_channel::<EvalJob>(2);
+        let (done_tx, done_rx) = sync_channel::<EvalDone>(2);
         let worker = thread::Builder::new()
             .name("seer-eval".into())
             .spawn(move || run_eval_worker(job_rx, done_tx))

@@ -5,8 +5,6 @@ use crate::hub::{self, HubListener, HubStream, ShardHandle, Shards, SocketProbe}
 use crate::pipeline::{self, ActorConfig, DefaultSeed};
 use crate::snapshot::DaemonSnapshot;
 use crate::stats::{self, DaemonStats, SharedMetrics};
-use crossbeam::channel::bounded;
-use parking_lot::Mutex;
 use seer_core::{PersistError, Replayer, SeerConfig, SeerEngine};
 use seer_telemetry::{tlog, Level, RegistrySnapshot, Tracer};
 use seer_trace::StringTable;
@@ -15,7 +13,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -40,8 +38,9 @@ pub struct DaemonConfig {
     /// Engine configuration (used only on a cold start; a snapshot's
     /// embedded configuration wins on recovery).
     pub engine: SeerConfig,
-    /// Capacity of the bounded ingest and apply channels (per shard).
-    /// Producers block when full — this is the backpressure knob.
+    /// Capacity of the bounded ingest channel and actor inbox (per
+    /// shard). Producers block when full — this is the backpressure
+    /// knob. Must be at least 1.
     pub channel_capacity: usize,
     /// Target events per engine batch.
     pub batch_max: usize,
@@ -123,9 +122,9 @@ pub struct DaemonConfig {
     /// which is exactly the `socket_read` p99 outlier small-frame
     /// benchmarks used to show.
     pub read_buffer: usize,
-    /// Master switch for the fleet observability plane: per-tenant
-    /// instrument twins, health scoring, SLO burn alerts, and the
-    /// self-watchdog thread.
+    /// Master switch for the fleet observability plane: health scoring,
+    /// SLO burn alerts, and the self-watchdog thread. The per-tenant
+    /// instrument twins are bumped either way.
     pub fleet_observability: bool,
     /// SLO error budget: the tolerated bad-op fraction (hoard misses
     /// plus WAL-dropped events, over events applied plus dropped).
@@ -216,6 +215,8 @@ pub enum DaemonError {
     /// A `restore_to` request that cannot be honored (no WAL configured,
     /// or the requested generation is unreachable).
     Restore(String),
+    /// A configuration value the daemon cannot run with.
+    Config(String),
 }
 
 impl std::fmt::Display for DaemonError {
@@ -226,6 +227,7 @@ impl std::fmt::Display for DaemonError {
             DaemonError::Persist(e) => write!(f, "daemon snapshot error: {e}"),
             DaemonError::Wal(e) => write!(f, "daemon wal error: {e}"),
             DaemonError::Restore(m) => write!(f, "restore failed: {m}"),
+            DaemonError::Config(m) => write!(f, "invalid daemon config: {m}"),
         }
     }
 }
@@ -270,9 +272,16 @@ impl Shared {
     /// client socket so readers see EOF and drop their channel senders.
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for s in self.conns.lock().drain(..) {
+        for s in self.conns().drain(..) {
             s.shutdown_both();
         }
+    }
+
+    /// Locks the socket list. A thread that panicked while holding the
+    /// lock leaves a plain `Vec` behind, so the poison is ignored and
+    /// `Drop` and shutdown still reach every socket.
+    pub(crate) fn conns(&self) -> MutexGuard<'_, Vec<HubStream>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -304,10 +313,19 @@ impl Daemon {
     ///
     /// Returns [`DaemonError::SocketBusy`] if a live daemon already
     /// owns the socket path, [`DaemonError::Io`] if a socket cannot be
-    /// bound, [`DaemonError::Wal`] for an unrecoverable log, and
+    /// bound, [`DaemonError::Wal`] for an unrecoverable log,
     /// [`DaemonError::Restore`] when `config.restore_to` cannot be
-    /// honored.
+    /// honored, and [`DaemonError::Config`] for a zero
+    /// `channel_capacity`.
     pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, DaemonError> {
+        // A zero-capacity `sync_channel` is a rendezvous channel, not an
+        // empty queue, and queue depth as a fraction of capacity (a
+        // health signal) would mean nothing.
+        if config.channel_capacity == 0 {
+            return Err(DaemonError::Config(
+                "channel_capacity must be at least 1".into(),
+            ));
+        }
         // Initialize the event log eagerly so a bad `SEER_LOG_FILE`
         // surfaces at startup — and so recovery warnings are visible.
         seer_telemetry::init_from_env();
@@ -493,53 +511,43 @@ impl Daemon {
             next_conn: AtomicU64::new(0),
         });
 
-        // Per-shard channel pairs, created before the threads so the
-        // routing table exists first (the default tenant's seed goes to
-        // whichever shard it hashes to).
+        // Per-shard channels and threads. The hub's query sender lives in
+        // `shards` next to `ingest_tx`, so both drop before the batcher
+        // exits and the inbox disconnects only once every producer is gone.
         let shard_count = config.shards.max(1);
-        let mut handles = Vec::with_capacity(shard_count);
-        let mut plumbing = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let (ingest_tx, ingest_rx) = bounded(config.channel_capacity);
-            let (apply_tx, apply_rx) = bounded(config.channel_capacity);
-            let (control_tx, control_rx) = bounded(16);
-            handles.push(ShardHandle {
-                ingest_tx,
-                control_tx,
-            });
-            plumbing.push((ingest_rx, apply_tx, apply_rx, control_rx));
-        }
-        let shards = Arc::new(Shards { handles });
-        let default_shard = shards.index_for(pipeline::DEFAULT_TENANT);
+        let default_shard = hub::shard_index(pipeline::DEFAULT_TENANT, shard_count);
         let mut seed = Some(DefaultSeed {
             engine,
             strings,
             events_applied,
             wal,
         });
-
+        let mut handles = Vec::with_capacity(shard_count);
         let mut batchers = Vec::with_capacity(shard_count);
         let mut actors = Vec::with_capacity(shard_count);
         // One beat per shard: the actor stamps it, the watchdog reads it.
         let beats: Vec<Arc<ShardBeat>> = (0..shard_count)
             .map(|_| Arc::new(ShardBeat::new()))
             .collect();
-        for (i, (ingest_rx, apply_tx, apply_rx, control_rx)) in plumbing.into_iter().enumerate() {
+        for (i, beat) in beats.iter().enumerate() {
+            let (ingest_tx, ingest_rx, depth) = pipeline::ingest_channel(config.channel_capacity);
+            let (inbox_tx, inbox_rx) = mpsc::sync_channel(config.channel_capacity);
+            handles.push(ShardHandle {
+                ingest_tx,
+                query_tx: inbox_tx.clone(),
+            });
             let batcher = {
-                let ingest_rx = ingest_rx.clone();
-                let kill = Arc::clone(&shared.kill);
-                let batch_max = config.batch_max;
-                let batch_max_wait = config.batch_max_wait;
-                let flush_timer = shared.metrics.stage_batcher_flush.clone();
-                let tracer = shared.metrics.tracer.clone();
+                let depth = Arc::clone(&depth);
+                let (metrics, kill) = (Arc::clone(&shared.metrics), Arc::clone(&shared.kill));
+                let (batch_max, batch_max_wait) = (config.batch_max, config.batch_max_wait);
                 thread::spawn(move || {
                     pipeline::run_batcher(
                         batch_max,
                         batch_max_wait,
                         ingest_rx,
-                        apply_tx,
-                        flush_timer,
-                        tracer,
+                        depth,
+                        inbox_tx,
+                        metrics,
                         kill,
                     );
                 })
@@ -581,23 +589,14 @@ impl Daemon {
             };
             let metrics = Arc::clone(&shared.metrics);
             let kill = Arc::clone(&shared.kill);
-            let beat = Arc::clone(&beats[i]);
-            // `ingest_rx` doubles as a depth probe for Health queries;
-            // the actor never receives from it.
-            let depth_probe = ingest_rx;
+            let beat = Arc::clone(beat);
             actors.push(thread::spawn(move || {
                 pipeline::run_engine_actor(
-                    shard_seed,
-                    actor_cfg,
-                    apply_rx,
-                    control_rx,
-                    depth_probe,
-                    metrics,
-                    kill,
-                    beat,
+                    shard_seed, actor_cfg, inbox_rx, depth, metrics, kill, beat,
                 );
             }));
         }
+        let shards = Arc::new(Shards { handles });
 
         let watchdog = if config.fleet_observability && config.watchdog_tick > Duration::ZERO {
             let wcfg = WatchdogConfig {
@@ -748,11 +747,9 @@ impl DaemonHandle {
     /// Kills the daemon abruptly: pending work is dropped and **no**
     /// final snapshot is written, simulating a crash. Recovery must come
     /// from the last periodic snapshot on disk.
-    pub fn kill(mut self) {
-        self.shared.kill.store(true, Ordering::SeqCst);
-        self.shared.begin_shutdown();
-        self.join_all();
-        let _ = std::fs::remove_file(&self.socket_path);
+    pub fn kill(self) {
+        // Dropping a running handle is exactly a kill.
+        drop(self);
     }
 
     fn join_all(&mut self) {

@@ -234,7 +234,7 @@ impl PipelineMetrics {
             ),
             stage_batcher_flush: stage(
                 "batcher_flush",
-                "Pipeline stage latency: handing a coalesced batch to the apply channel \
+                "Pipeline stage latency: handing a coalesced batch to the engine actor's inbox \
                  (includes backpressure blocking).",
             ),
             stage_engine_apply: stage(

@@ -229,6 +229,32 @@ fn fleet_health_diverges_and_burn_alert_fires_then_resolves() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Switching the fleet plane off stops scoring, alerts and the
+/// watchdog only: the per-tenant twins still count every applied event.
+#[test]
+fn tenant_twins_count_with_the_plane_off() {
+    let dir = scratch("twins-off");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.fleet_observability = false;
+    let handle = Daemon::spawn(cfg).expect("spawn");
+    let trace = machine_trace("B", 2, 7);
+    let mut client =
+        DaemonClient::connect_tenant(handle.socket_path(), "twins", "quiet").expect("connect");
+    client.send_trace(&trace, 64).expect("send");
+    assert_eq!(client.flush().expect("flush"), trace.len() as u64);
+    assert_eq!(
+        labeled_counter(
+            &handle.metrics(),
+            "seer_daemon_tenant_events_total",
+            "quiet"
+        ),
+        trace.len() as u64,
+    );
+    drop(client);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The watchdog alerts on the daemon itself: with the actor tick slowed
 /// far past `stall_after`, every idle shard's heartbeat goes stale and
 /// `_self` reports `shardN/stalled` — then resolves when the actor

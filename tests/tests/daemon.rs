@@ -229,6 +229,49 @@ fn bounded_channels_apply_backpressure() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A zero channel capacity is refused at spawn: a zero-capacity channel
+/// would hand messages over without ever queueing them.
+#[test]
+fn zero_channel_capacity_is_refused() {
+    let dir = scratch("capacity-zero");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.channel_capacity = 0;
+    match Daemon::spawn(cfg) {
+        Err(e) => assert!(e.to_string().contains("channel_capacity"), "{e}"),
+        Ok(_) => panic!("spawn must refuse a zero channel capacity"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Queries share the engine actor's inbox with batches, so a query on
+/// a quiet shard is answered at once instead of after the idle tick.
+#[test]
+fn queries_do_not_wait_for_the_idle_tick() {
+    let trace = machine_a_trace(2, 5);
+    let dir = scratch("tick-floor");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.tick = Duration::from_secs(10);
+    cfg.watchdog_tick = Duration::ZERO;
+    let handle = Daemon::spawn(cfg).expect("spawn");
+    let mut client = DaemonClient::connect(handle.socket_path(), "tick").expect("connect");
+    client.send_trace(&trace, 64).expect("send");
+    client.flush().expect("flush");
+    let fresh_hoard = QueryRequest::Hoard {
+        budget: 1 << 20,
+        fresh: true,
+    };
+    for query in [QueryRequest::Health, fresh_hoard] {
+        let name = query.name();
+        let started = Instant::now();
+        client.query(query).expect("query");
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "{name} took {took:?}");
+    }
+    drop(client);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `metrics` query returns the daemon's full telemetry registry, and
 /// the registry reflects what was actually ingested: pipeline counters
 /// match the wire totals, every instrumented stage has recorded latency,

@@ -10,6 +10,7 @@ use seer_trace::wire::{QueryRequest, QueryResponse};
 use seer_trace::EventSink;
 use seer_workload::{generate, MachineProfile};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("seer-wtest-{tag}-{}", std::process::id()));
@@ -308,6 +309,49 @@ fn restore_to_reproduces_the_answers_the_daemon_gave() {
         half as u64,
         "discarded history stays discarded"
     );
+    drop(client);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A kill writes no final snapshot, even though it also disconnects the
+/// actor's inbox: with periodic snapshots off, only the WAL brings the
+/// acknowledged events back.
+#[test]
+fn kill_writes_no_final_snapshot() {
+    let trace = machine_a_trace(4, 31);
+    let dir = scratch("nosnap");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.snapshot_path = Some(dir.join("db.json"));
+    cfg.snapshot_every = 0;
+    cfg.wal_dir = Some(dir.join("wal"));
+    cfg.wal_fsync = FsyncPolicy::Always;
+    // A long idle tick keeps the actor parked in its receive when the
+    // kill lands, so the inbox disconnect wakes it before it next polls
+    // the flag.
+    cfg.tick = Duration::from_secs(10);
+
+    let handle = Daemon::spawn(cfg.clone()).expect("spawn");
+    let mut client = DaemonClient::connect(handle.socket_path(), "kill1").expect("connect");
+    client.send_trace(&trace, 64).expect("send");
+    let acknowledged = client.flush().expect("flush");
+    assert_eq!(acknowledged, trace.len() as u64);
+    drop(client);
+    // Let the actor apply the connection's close and park in its
+    // receive: a close still in flight when the kill lands wakes the
+    // actor before the disconnect does, which would hide the race.
+    std::thread::sleep(Duration::from_millis(200));
+    handle.kill();
+    let snapshots: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list scratch dir")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("db.json"))
+        .collect();
+    assert!(snapshots.is_empty(), "kill wrote {snapshots:?}");
+
+    let handle = Daemon::spawn(cfg).expect("respawn from wal only");
+    let mut client = DaemonClient::connect(handle.socket_path(), "kill2").expect("reconnect");
+    assert_eq!(applied_events(&mut client), acknowledged, "wal replay");
     drop(client);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
