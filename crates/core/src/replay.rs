@@ -60,10 +60,15 @@ impl Replayer {
 
     /// Declares string ids `base..base + paths.len()`, interning in
     /// order. Re-declarations of existing ids with the same string are
-    /// normal (segment base records); conflicts are counted.
+    /// normal (segment base records); conflicts, and ids past
+    /// `u32::MAX`, are counted.
     pub fn declare(&mut self, base: u32, paths: &[String]) {
         for (i, p) in paths.iter().enumerate() {
-            let want = base + i as u32;
+            let Some(want) = u32::try_from(i).ok().and_then(|i| base.checked_add(i)) else {
+                // No id exists past u32::MAX; the declaration is bogus.
+                self.misdeclared += 1;
+                continue;
+            };
             let current = self.strings.len() as u32;
             if want < current {
                 // Already interned: verify it is the same string.
@@ -226,5 +231,16 @@ mod tests {
         // A hole (declaring past the end) is counted, not interned.
         rep.declare(10, &["/hole".into()]);
         assert_eq!(rep.misdeclared(), 2);
+    }
+
+    #[test]
+    fn declarations_past_the_id_space_are_counted_not_wrapped() {
+        let mut rep = cold();
+        rep.declare(0, &["/a".into()]);
+        // Ids u32::MAX and u32::MAX + 1: a hole, then an overflow. Both
+        // are counted; neither may wrap around onto id 0.
+        rep.declare(u32::MAX, &["/x".into(), "/y".into()]);
+        assert_eq!(rep.misdeclared(), 2);
+        assert_eq!(rep.strings.len(), 1);
     }
 }

@@ -631,7 +631,9 @@ pub const BINARY_MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 /// Flag bit: the payload opens with an 8-byte little-endian trace id.
 const BIN_FLAG_TRACE_ID: u8 = 0x01;
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` as an LEB128 varint: 7 bits per byte, low bits first,
+/// high bit set on every byte but the last.
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
@@ -644,15 +646,33 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Borrowed-slice cursor for decoding; every read is bounds-checked so
-/// torn or truncated frames surface as [`WireError::Format`], never a
+/// torn or truncated input surfaces as [`WireError::Format`], never a
 /// panic.
-struct Cursor<'a> {
+#[derive(Debug)]
+pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, WireError> {
+    /// A cursor at the start of `buf`.
+    #[must_use]
+    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
+        Cursor { buf, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Reads one byte.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Format`] at the end of the buffer.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
         let b = *self
             .buf
             .get(self.pos)
@@ -661,7 +681,26 @@ impl<'a> Cursor<'a> {
         Ok(b)
     }
 
-    fn varint(&mut self) -> Result<u64, WireError> {
+    /// Reads the next `n` bytes as a borrowed slice.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Format`] when fewer than `n` bytes remain.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if n > self.remaining() {
+            return Err(WireError::Format("binary frame truncated".into()));
+        }
+        let out = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    /// Reads an LEB128 varint (at most 10 bytes, no bits past 64).
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Format`] on truncation or overflow.
+    pub fn varint(&mut self) -> Result<u64, WireError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -680,7 +719,12 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn varint_u32(&mut self) -> Result<u32, WireError> {
+    /// Reads a varint that must fit a `u32` field.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Format`] on truncation or a value above `u32::MAX`.
+    pub fn varint_u32(&mut self) -> Result<u32, WireError> {
         u32::try_from(self.varint()?)
             .map_err(|_| WireError::Format("varint exceeds u32 field".into()))
     }
@@ -692,14 +736,7 @@ impl<'a> Cursor<'a> {
 /// magic (0xB6) | payload_len: u32 LE | payload
 /// payload = flags: u8
 ///           [trace_id: u64 LE]      when flags bit 0 is set
-///           count: varint
-///           count × event
-/// event   = tag: u8                 bits 0–3 kind index, 4–5 error code
-///                                   (0 ok / 1 not-found / 2 not-hoarded /
-///                                   3 other), bit 6 root
-///           seq: varint             time: varint (µs)    pid: varint
-///           kind fields, varints in declaration order (open mode is one
-///           raw byte: 0 read / 1 write / 2 read-write)
+///           events body             see [`encode_events_body`]
 /// ```
 ///
 /// Raw-path ids refer to the connection's `Intern` declarations exactly
@@ -716,7 +753,27 @@ pub fn encode_events_binary(events: &[TraceEvent], trace_id: Option<u64>) -> Vec
         }
         None => buf.push(0),
     }
-    put_varint(&mut buf, events.len() as u64);
+    encode_events_body(&mut buf, events);
+    let len = (buf.len() - 5) as u32;
+    buf[1..5].copy_from_slice(&len.to_le_bytes());
+    buf
+}
+
+/// Appends the v6 events body — the one event encoding shared by binary
+/// wire frames and the write-ahead log:
+///
+/// ```text
+/// body    = count: varint
+///           count × event
+/// event   = tag: u8                 bits 0–3 kind index, 4–5 error code
+///                                   (0 ok / 1 not-found / 2 not-hoarded /
+///                                   3 other), bit 6 root
+///           seq: varint             time: varint (µs)    pid: varint
+///           kind fields, varints in declaration order (open mode is one
+///           raw byte: 0 read / 1 write / 2 read-write)
+/// ```
+pub fn encode_events_body(buf: &mut Vec<u8>, events: &[TraceEvent]) {
+    put_varint(buf, events.len() as u64);
     for ev in events {
         let err = match ev.error {
             None => 0u8,
@@ -726,45 +783,42 @@ pub fn encode_events_binary(events: &[TraceEvent], trace_id: Option<u64>) -> Vec
         };
         let tag = ev.kind.index() as u8 | (err << 4) | (u8::from(ev.root) << 6);
         buf.push(tag);
-        put_varint(&mut buf, ev.seq.0);
-        put_varint(&mut buf, ev.time.0);
-        put_varint(&mut buf, u64::from(ev.pid.0));
+        put_varint(buf, ev.seq.0);
+        put_varint(buf, ev.time.0);
+        put_varint(buf, u64::from(ev.pid.0));
         match ev.kind {
             EventKind::Open { path, mode, fd } => {
-                put_varint(&mut buf, u64::from(path.0));
+                put_varint(buf, u64::from(path.0));
                 buf.push(match mode {
                     OpenMode::Read => 0,
                     OpenMode::Write => 1,
                     OpenMode::ReadWrite => 2,
                 });
-                put_varint(&mut buf, u64::from(fd.0));
+                put_varint(buf, u64::from(fd.0));
             }
-            EventKind::Close { fd } => put_varint(&mut buf, u64::from(fd.0)),
+            EventKind::Close { fd } => put_varint(buf, u64::from(fd.0)),
             EventKind::OpenDir { path, fd } => {
-                put_varint(&mut buf, u64::from(path.0));
-                put_varint(&mut buf, u64::from(fd.0));
+                put_varint(buf, u64::from(path.0));
+                put_varint(buf, u64::from(fd.0));
             }
             EventKind::ReadDir { fd, entries } => {
-                put_varint(&mut buf, u64::from(fd.0));
-                put_varint(&mut buf, u64::from(entries));
+                put_varint(buf, u64::from(fd.0));
+                put_varint(buf, u64::from(entries));
             }
             EventKind::Exec { path }
             | EventKind::Unlink { path }
             | EventKind::Create { path }
             | EventKind::Stat { path }
             | EventKind::SetAttr { path }
-            | EventKind::Chdir { path } => put_varint(&mut buf, u64::from(path.0)),
+            | EventKind::Chdir { path } => put_varint(buf, u64::from(path.0)),
             EventKind::Exit => {}
-            EventKind::Fork { child } => put_varint(&mut buf, u64::from(child.0)),
+            EventKind::Fork { child } => put_varint(buf, u64::from(child.0)),
             EventKind::Rename { from, to } => {
-                put_varint(&mut buf, u64::from(from.0));
-                put_varint(&mut buf, u64::from(to.0));
+                put_varint(buf, u64::from(from.0));
+                put_varint(buf, u64::from(to.0));
             }
         }
     }
-    let len = (buf.len() - 5) as u32;
-    buf[1..5].copy_from_slice(&len.to_le_bytes());
-    buf
 }
 
 /// Decodes the payload of a binary events frame (everything after the
@@ -775,10 +829,7 @@ pub fn encode_events_binary(events: &[TraceEvent], trace_id: Option<u64>) -> Vec
 /// Returns [`WireError::Format`] for truncation, trailing garbage, or any
 /// out-of-range tag — corrupt input never panics.
 pub fn decode_events_binary(payload: &[u8]) -> Result<(Vec<TraceEvent>, Option<u64>), WireError> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
+    let mut c = Cursor::new(payload);
     let flags = c.u8()?;
     if flags & !BIN_FLAG_TRACE_ID != 0 {
         return Err(WireError::Format(format!(
@@ -786,18 +837,35 @@ pub fn decode_events_binary(payload: &[u8]) -> Result<(Vec<TraceEvent>, Option<u
         )));
     }
     let trace_id = if flags & BIN_FLAG_TRACE_ID != 0 {
-        let mut raw = [0u8; 8];
-        for b in &mut raw {
-            *b = c.u8()?;
-        }
-        Some(u64::from_le_bytes(raw))
+        let raw = c.bytes(8)?;
+        Some(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
     } else {
         None
     };
+    let events = decode_events_body(&mut c)?;
+    if c.remaining() != 0 {
+        return Err(WireError::Format(format!(
+            "{} trailing bytes after {} events",
+            c.remaining(),
+            events.len()
+        )));
+    }
+    Ok((events, trace_id))
+}
+
+/// Reads one events body (see [`encode_events_body`]) from `c`, leaving
+/// the cursor just past it.
+///
+/// # Errors
+///
+/// Returns [`WireError::Format`] for truncation, a count the remaining
+/// bytes cannot hold, or any out-of-range tag — never a panic, and never
+/// an allocation larger than the input justifies.
+pub fn decode_events_body(c: &mut Cursor<'_>) -> Result<Vec<TraceEvent>, WireError> {
     let count = c.varint()?;
     // Each event is at least 4 bytes; a count claiming more than the
     // remaining bytes could hold is corruption, not a huge allocation.
-    let remaining = payload.len() - c.pos;
+    let remaining = c.remaining();
     if count > (remaining as u64) / 4 + 1 {
         return Err(WireError::Format(format!(
             "event count {count} impossible for {remaining}-byte payload"
@@ -888,13 +956,7 @@ pub fn decode_events_binary(payload: &[u8]) -> Result<(Vec<TraceEvent>, Option<u
             error,
         });
     }
-    if c.pos != payload.len() {
-        return Err(WireError::Format(format!(
-            "{} trailing bytes after {count} events",
-            payload.len() - c.pos
-        )));
-    }
-    Ok((events, trace_id))
+    Ok(events)
 }
 
 /// Reads one binary events frame — magic byte, length prefix, payload —

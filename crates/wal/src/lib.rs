@@ -9,9 +9,11 @@
 //! Design points:
 //!
 //! - **Framing** ([`record`]): every record is length-prefixed and
-//!   CRC-32-checksummed JSON; decoding classifies damage as a torn tail
-//!   (truncate and continue) or corruption (truncate and continue), and
-//!   never panics or over-allocates on garbage.
+//!   CRC-32-checksummed; event batches reuse the v6 wire events body, so
+//!   the wire and the log share one event codec. Decoding classifies
+//!   damage as a torn tail (truncate and continue) or corruption
+//!   (truncate and continue), and never panics or over-allocates on
+//!   garbage. `SEERWAL1` segments (JSON records) are still read.
 //! - **Segments** ([`wal`]): the log is a directory of numbered segment
 //!   files rotated at a size threshold. Each segment opens with a full
 //!   string-table snapshot, so compaction can drop any prefix of sealed

@@ -10,6 +10,11 @@
 //! full string-table snapshot, so any *prefix* of sealed segments can be
 //! deleted once a snapshot covers their batches — replay of the
 //! remaining suffix still resolves every id.
+//!
+//! The magic selects a segment's record decoder: `SEERWAL2` (binary,
+//! written today) or `SEERWAL1` (JSON, read only). A log opened on a
+//! `SEERWAL1` active segment rotates before its next append, so no
+//! segment ever mixes the two.
 
 use crate::record::{self, Decoded, WalRecord};
 use seer_trace::{RawPathId, StringTable, TraceEvent};
@@ -19,8 +24,38 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// First 8 bytes of every segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"SEERWAL1";
+/// First 8 bytes of every segment file the log writes.
+pub const SEGMENT_MAGIC: &[u8; 8] = b"SEERWAL2";
+
+/// Magic of segments holding JSON record payloads: still replayed,
+/// truncated and compacted, never appended to.
+pub const SEGMENT_MAGIC_V1: &[u8; 8] = b"SEERWAL1";
+
+/// The record format a segment's magic selects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SegmentFormat {
+    /// `SEERWAL1`: JSON payloads.
+    V1,
+    /// `SEERWAL2`: binary payloads on the wire event codec.
+    V2,
+}
+
+impl SegmentFormat {
+    fn from_magic(bytes: &[u8]) -> Option<SegmentFormat> {
+        match bytes.get(..SEGMENT_MAGIC.len())? {
+            m if m == SEGMENT_MAGIC => Some(SegmentFormat::V2),
+            m if m == SEGMENT_MAGIC_V1 => Some(SegmentFormat::V1),
+            _ => None,
+        }
+    }
+
+    fn decode(self, buf: &[u8]) -> Decoded {
+        match self {
+            SegmentFormat::V1 => record::decode_v1(buf),
+            SegmentFormat::V2 => record::decode(buf),
+        }
+    }
+}
 
 /// The compaction bookkeeping file kept next to the segments.
 const META_FILE: &str = "wal.meta";
@@ -148,6 +183,7 @@ struct WalMeta {
 #[derive(Debug, Clone)]
 struct SegmentState {
     path: PathBuf,
+    format: SegmentFormat,
     bytes: u64,
     /// Highest batch generation in the segment; `None` if it holds no
     /// batch records (yet).
@@ -236,6 +272,8 @@ pub struct Wal {
     last_sync: Instant,
     /// Unsynced appends outstanding.
     dirty: bool,
+    /// Encode buffer reused across appends.
+    buf: Vec<u8>,
 }
 
 fn segment_file_name(seq: u64) -> String {
@@ -253,8 +291,72 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// One decoded walk over a segment's bytes.
+/// Appends an interns record declaring ids `from..strings.len()`.
+fn encode_declarations(buf: &mut Vec<u8>, strings: &StringTable, from: u32) {
+    let paths =
+        (from..strings.len() as u32).map(|id| strings.resolve(RawPathId(id)).expect("dense table"));
+    record::encode_interns(buf, from, paths);
+}
+
+/// The one walk over a segment's records: reads the file, checks the
+/// magic once, and yields `(end offset, record)` for each valid record
+/// until the end of the file or the first torn or corrupt one.
+struct SegmentRecords {
+    bytes: Vec<u8>,
+    format: Option<SegmentFormat>,
+    /// Offset just past the last valid record (or the magic).
+    off: usize,
+    /// Why the walk stopped before the end of the file, if it did.
+    damage: Option<&'static str>,
+}
+
+impl SegmentRecords {
+    fn open(path: &Path) -> std::io::Result<SegmentRecords> {
+        let mut bytes = Vec::new();
+        File::open(path)?.read_to_end(&mut bytes)?;
+        let format = SegmentFormat::from_magic(&bytes);
+        Ok(SegmentRecords {
+            bytes,
+            format,
+            off: if format.is_some() {
+                SEGMENT_MAGIC.len()
+            } else {
+                0
+            },
+            damage: format.is_none().then_some("bad or torn segment magic"),
+        })
+    }
+}
+
+impl Iterator for SegmentRecords {
+    type Item = (u64, WalRecord);
+
+    fn next(&mut self) -> Option<(u64, WalRecord)> {
+        let format = self.format?;
+        if self.damage.is_some() || self.off >= self.bytes.len() {
+            return None;
+        }
+        match format.decode(&self.bytes[self.off..]) {
+            Decoded::Record { record, consumed } => {
+                self.off += consumed;
+                Some((self.off as u64, record))
+            }
+            Decoded::Incomplete => {
+                self.damage = Some("torn tail record");
+                None
+            }
+            Decoded::Corrupt(why) => {
+                self.damage = Some(why);
+                None
+            }
+        }
+    }
+}
+
+/// What one walk over a segment found.
 struct SegmentScan {
+    /// `None` when the magic is missing or unknown.
+    format: Option<SegmentFormat>,
     /// Bytes of magic + valid records.
     valid_len: u64,
     file_len: u64,
@@ -273,56 +375,37 @@ fn scan_segment(
     path: &Path,
     mut f: impl FnMut(WalRecord) -> bool,
 ) -> std::io::Result<(SegmentScan, bool)> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let file_len = bytes.len() as u64;
+    let mut walk = SegmentRecords::open(path)?;
     let mut scan = SegmentScan {
+        format: walk.format,
         valid_len: 0,
-        file_len,
+        file_len: walk.bytes.len() as u64,
         records: 0,
         batches: 0,
         last_generation: None,
         declared_high: 0,
         damage: None,
     };
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        scan.damage = Some("bad or torn segment magic");
-        return Ok((scan, false));
-    }
-    let mut off = SEGMENT_MAGIC.len();
-    scan.valid_len = off as u64;
     let mut stopped = false;
-    while off < bytes.len() {
-        match record::decode(&bytes[off..]) {
-            Decoded::Record { record, consumed } => {
-                off += consumed;
-                scan.valid_len = off as u64;
-                scan.records += 1;
-                match &record {
-                    WalRecord::Batch { generation, .. } => {
-                        scan.batches += 1;
-                        scan.last_generation = Some(*generation);
-                    }
-                    WalRecord::Interns { base, paths } => {
-                        let high = base.saturating_add(paths.len() as u32);
-                        scan.declared_high = scan.declared_high.max(high);
-                    }
-                }
-                if !f(record) {
-                    stopped = true;
-                    break;
-                }
+    for (_, record) in walk.by_ref() {
+        scan.records += 1;
+        match &record {
+            WalRecord::Batch { generation, .. } => {
+                scan.batches += 1;
+                scan.last_generation = Some(*generation);
             }
-            Decoded::Incomplete => {
-                scan.damage = Some("torn tail record");
-                break;
-            }
-            Decoded::Corrupt(why) => {
-                scan.damage = Some(why);
-                break;
+            WalRecord::Interns { base, paths } => {
+                let high = base.saturating_add(paths.len() as u32);
+                scan.declared_high = scan.declared_high.max(high);
             }
         }
+        if !f(record) {
+            stopped = true;
+            break;
+        }
     }
+    scan.valid_len = walk.off as u64;
+    scan.damage = walk.damage;
     Ok((scan, stopped))
 }
 
@@ -407,6 +490,7 @@ impl Wal {
             last_generation: 0,
             last_sync: Instant::now(),
             dirty: false,
+            buf: Vec::new(),
         };
         let report = wal.recover()?;
         Ok((wal, report))
@@ -455,6 +539,8 @@ impl Wal {
             report.batches += scan.batches;
             self.segments.push(SegmentState {
                 path: path.clone(),
+                // An unknown magic is damage at offset 0, removed above.
+                format: scan.format.expect("kept segment has a known magic"),
                 bytes: scan.valid_len.max(SEGMENT_MAGIC.len() as u64),
                 last_generation: scan.last_generation,
             });
@@ -512,13 +598,13 @@ impl Wal {
             .open(&path)?;
         let mut buf = Vec::with_capacity(SEGMENT_MAGIC.len() + 64);
         buf.extend_from_slice(SEGMENT_MAGIC);
-        let paths: Vec<String> = strings.iter().map(|(_, s)| s.to_owned()).collect();
-        buf.extend_from_slice(&record::encode(&WalRecord::Interns { base: 0, paths }));
+        encode_declarations(&mut buf, strings, 0);
         file.write_all(&buf)?;
         sync_dir(&self.cfg.dir)?;
         self.declared = strings.len() as u32;
         self.segments.push(SegmentState {
             path,
+            format: SegmentFormat::V2,
             bytes: buf.len() as u64,
             last_generation: None,
         });
@@ -546,8 +632,8 @@ impl Wal {
     /// `generation` is the engine's applied-event count *after* the
     /// batch; `events` must already be in the global id space of
     /// `strings`. Rotation happens *before* the write when the active
-    /// segment is over the size threshold, so a batch never splits
-    /// across segments.
+    /// segment is over the size threshold (or is a read-only `SEERWAL1`
+    /// segment), so a batch never splits across segments.
     ///
     /// # Errors
     ///
@@ -566,37 +652,24 @@ impl Wal {
                 // rotation: nothing was sealed.
                 self.create_segment(strings)?;
             }
-            Some(s) if s.bytes >= self.cfg.segment_max_bytes => {
+            Some(s) if s.bytes >= self.cfg.segment_max_bytes || s.format != SegmentFormat::V2 => {
                 self.rotate(strings)?;
                 rotated = true;
             }
             Some(_) => {}
         }
-        let mut buf = Vec::new();
+        let buf = &mut self.buf;
+        buf.clear();
         let mut records = 0u32;
         let table_len = strings.len() as u32;
         if table_len > self.declared {
-            let paths: Vec<String> = (self.declared..table_len)
-                .map(|id| {
-                    strings
-                        .resolve(RawPathId(id))
-                        .expect("dense table")
-                        .to_owned()
-                })
-                .collect();
-            buf.extend_from_slice(&record::encode(&WalRecord::Interns {
-                base: self.declared,
-                paths,
-            }));
+            encode_declarations(buf, strings, self.declared);
             records += 1;
         }
-        buf.extend_from_slice(&record::encode(&WalRecord::Batch {
-            generation,
-            events: events.to_vec(),
-        }));
+        record::encode_batch(buf, generation, events);
         records += 1;
         let file = self.active.as_mut().expect("segment created above");
-        file.write_all(&buf)?;
+        file.write_all(buf)?;
         self.dirty = true;
         self.declared = self.declared.max(table_len);
         self.last_generation = self.last_generation.max(generation);
@@ -606,13 +679,14 @@ impl Wal {
             seg.last_generation
                 .map_or(generation, |g| g.max(generation)),
         );
+        let bytes = self.buf.len() as u64;
         let fsync = match self.cfg.fsync {
             FsyncPolicy::Always => self.sync()?,
             FsyncPolicy::Interval(d) if self.last_sync.elapsed() >= d => self.sync()?,
             FsyncPolicy::Interval(_) | FsyncPolicy::Never => None,
         };
         Ok(AppendOutcome {
-            bytes: buf.len() as u64,
+            bytes,
             records,
             rotated,
             fsync,
@@ -740,22 +814,12 @@ impl Wal {
             }
             // First segment holding a batch beyond the target: find the
             // byte offset right after its last keepable batch.
-            let mut bytes = Vec::new();
-            File::open(&seg.path)?.read_to_end(&mut bytes)?;
-            let mut off = SEGMENT_MAGIC.len();
             let mut keep_until: Option<u64> = None;
-            while off < bytes.len() {
-                match record::decode(&bytes[off..]) {
-                    Decoded::Record { record, consumed } => {
-                        let end = off + consumed;
-                        match record.generation() {
-                            Some(g) if g > target => break,
-                            Some(_) => keep_until = Some(end as u64),
-                            None => {}
-                        }
-                        off = end;
-                    }
-                    _ => break,
+            for (end, record) in SegmentRecords::open(&seg.path)? {
+                match record.generation() {
+                    Some(g) if g > target => break,
+                    Some(_) => keep_until = Some(end),
+                    None => {}
                 }
             }
             cut_from = Some(i);
@@ -925,7 +989,7 @@ mod tests {
     fn rotation_starts_self_contained_segments() {
         let dir = scratch("rot");
         let mut cfg = WalConfig::new(&dir);
-        cfg.segment_max_bytes = 256; // force rotation every record or two
+        cfg.segment_max_bytes = 64; // force rotation every record or two
         let (mut wal, _) = Wal::open(cfg).expect("open");
         let mut strings = StringTable::new();
         fill(&mut wal, &mut strings, 0, 10);
@@ -952,7 +1016,7 @@ mod tests {
     fn compaction_drops_covered_prefix_only() {
         let dir = scratch("compact");
         let mut cfg = WalConfig::new(&dir);
-        cfg.segment_max_bytes = 256;
+        cfg.segment_max_bytes = 64;
         let (mut wal, _) = Wal::open(cfg).expect("open");
         let mut strings = StringTable::new();
         fill(&mut wal, &mut strings, 0, 12);
